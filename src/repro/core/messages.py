@@ -68,9 +68,10 @@ class TrackerMessage:
 
     def __repr__(self) -> str:
         # ``object_id=0`` (the single-evader lane of the original
-        # paper) renders in the legacy pre-service form: trace lines
-        # and their pinned fingerprints are built from these reprs, and
-        # lane-0 runs must stay bit-identical to the seed engine.
+        # paper) renders in the legacy pre-service form, which TraceLog
+        # details carry (and ``ckpt.trace_fingerprint`` hashes).  Send
+        # fingerprints do not use this repr: they pack fields directly
+        # (``repro.sim.sharded.context.SendDigest.pack``).
         cls = type(self)
         names = _REPR_FIELDS.get(cls)
         if names is None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from _random import Random as _CRandom
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -75,11 +76,16 @@ class FaultStats:
 
 @dataclass
 class _ArmedRule:
-    """A rule paired with its dedicated RNG stream."""
+    """A rule paired with its dedicated RNG stream.
+
+    ``crc_prefix`` is the CRC32 of ``"{seed}|{index}|"``, the fixed head
+    of this rule's stable-draw key material.
+    """
 
     rule: object
     rng: object = field(repr=False, default=None)
     index: int = 0
+    crc_prefix: int = 0
 
 
 class FaultInjector:
@@ -118,7 +124,12 @@ class FaultInjector:
         self._root_seed = seed
         # Per-message-key occurrence counters (stable-draws mode), so
         # identical back-to-back messages still get independent draws.
+        # Every key embeds its dispatch instant, so the counters are
+        # cleared whenever the clock moves on (``_edge_time``).
         self._edge_counts: Dict[str, int] = {}
+        self._edge_time: Optional[float] = None
+        # One generator, reseeded for each (rule, message) stable draw.
+        self._draw_rng = random.Random()
         self._armed = False
         # Regions currently held down by this injector (so overlapping
         # crash/blackout rules never double-fail or double-restore).
@@ -126,8 +137,9 @@ class FaultInjector:
         self._armed_rules: List[_ArmedRule] = []
         for index, rule in enumerate(plan.rules):
             name = f"fault.{index}.{type(rule).__name__}"
+            prefix = zlib.crc32(f"{seed}|{index}|".encode())
             self._armed_rules.append(
-                _ArmedRule(rule, self.streams.stream(name), index)
+                _ArmedRule(rule, self.streams.stream(name), index, prefix)
             )
 
     # ------------------------------------------------------------------
@@ -175,12 +187,21 @@ class FaultInjector:
         horizon = self.plan.horizon
         return horizon is None or self.sim.now < horizon
 
-    def _stable_rng(self, rule_index: int, message_key: str, occurrence: int):
-        """A fresh RNG for one (rule, message) pair in stable-draws mode."""
-        material = f"{self._root_seed}|{rule_index}|{message_key}|{occurrence}"
-        return random.Random(
-            zlib.crc32(material.encode()) ^ (self._root_seed << 32)
+    def _stable_rng(self, armed: _ArmedRule, key_tail: bytes) -> random.Random:
+        """The RNG of one (rule, message) pair in stable-draws mode.
+
+        ``key_tail`` is ``"{message_key}|{occurrence}"`` encoded.  The
+        draws equal those of ``random.Random(crc ^ (seed << 32))`` with
+        ``crc`` the CRC32 of ``"{seed}|{index}|{message_key}|{occurrence}"``:
+        the shared generator is reseeded through the C-level seed, which
+        is all ``random.Random(int)`` does that ``random``/``uniform``
+        depend on.
+        """
+        rng = self._draw_rng
+        _CRandom.seed(
+            rng, zlib.crc32(key_tail, armed.crc_prefix) ^ (self._root_seed << 32)
         )
+        return rng
 
     def _perturb(
         self, channel: str, delay: float, message_key: Optional[str] = None
@@ -194,8 +215,12 @@ class FaultInjector:
             return None
         stable = self.stable_draws and message_key is not None
         if stable:
+            if self.sim.now != self._edge_time:
+                self._edge_counts.clear()
+                self._edge_time = self.sim.now
             occurrence = self._edge_counts.get(message_key, 0)
             self._edge_counts[message_key] = occurrence + 1
+            key_tail = f"{message_key}|{occurrence}".encode()
         delays = [delay]
         touched = False
         stats0 = (self.stats.messages_dropped, self.stats.messages_duplicated,
@@ -205,7 +230,7 @@ class FaultInjector:
             if rule.is_null() or not rule.applies_to(channel):
                 continue
             if stable:
-                rng = self._stable_rng(armed.index, message_key, occurrence)
+                rng = self._stable_rng(armed, key_tail)
             else:
                 rng = armed.rng
             if isinstance(rule, MessageLoss):

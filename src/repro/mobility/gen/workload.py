@@ -143,7 +143,12 @@ def run_mobility_regime(
     K-sharded engine and records the cross-engine fingerprint verdict.
     """
     from ...sim.sharded.context import ShardContext
-    from ...sim.sharded.core import ShardedSimulator, _tiling_for, canonical_fingerprint
+    from ...sim.sharded.core import (
+        ShardedSimulator,
+        _tiling_for,
+        canonical_fingerprint,
+        exact_fingerprint,
+    )
     from ...sim.sharded.plan import strip_plan
     from ...scenario import ScenarioConfig
     from ...topo.cache import shared_grid_hierarchy
@@ -217,7 +222,7 @@ def run_mobility_regime(
         now=report["now"],
         wall_s=wall,
         canonical_fingerprint=canonical_fingerprint(report["send_lines"]),
-        exact_fingerprint=f"{report['exact_crc']:08x}",
+        exact_fingerprint=exact_fingerprint(report["send_lines"]),
         min_dwell=min(dwells) if dwells else 0.0,
         mean_dwell=sum(dwells) / len(dwells) if dwells else 0.0,
         speed_ok=violation is None,

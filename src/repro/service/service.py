@@ -108,7 +108,11 @@ class TrackingService:
 
     def _run_plain(self, script, seed: int, objects: int) -> ServiceRunResult:
         from ..sim.sharded.context import ShardContext
-        from ..sim.sharded.core import _tiling_for, canonical_fingerprint
+        from ..sim.sharded.core import (
+            _tiling_for,
+            canonical_fingerprint,
+            exact_fingerprint,
+        )
         from ..sim.sharded.plan import strip_plan
 
         config = self.config.with_(shards=1)
@@ -136,7 +140,7 @@ class TrackingService:
             windows=0,
             cross_shard_messages=0,
             canonical_fingerprint=canonical_fingerprint(report["send_lines"]),
-            exact_fingerprint=f"{report['exact_crc']:08x}",
+            exact_fingerprint=exact_fingerprint(report["send_lines"]),
             now=report["now"],
             wall_s=wall,
             finds=finds,

@@ -9,12 +9,13 @@ regardless of worker scheduling, with a bit-identical K=1 mode.
 See DESIGN.md §8 for the barrier protocol and determinism argument.
 """
 
-from .context import RemoteMessage, ShardContext, canonical_send_line
+from .context import RemoteMessage, SendDigest, ShardContext
 from .core import (
     ShardedRunError,
     ShardedRunResult,
     ShardedSimulator,
     canonical_fingerprint,
+    exact_fingerprint,
 )
 from .plan import ShardPlan, strip_plan
 from .runner import (
@@ -37,6 +38,7 @@ __all__ = [
     "EvaderStep",
     "IssueFind",
     "RemoteMessage",
+    "SendDigest",
     "ScriptedWorkload",
     "ShardContext",
     "ShardPlan",
@@ -45,7 +47,7 @@ __all__ = [
     "ShardedSimulator",
     "ShardedWalkResult",
     "canonical_fingerprint",
-    "canonical_send_line",
+    "exact_fingerprint",
     "make_walk_workload",
     "run_reference_walk",
     "run_sharded_walk",

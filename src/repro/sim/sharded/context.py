@@ -24,10 +24,13 @@ independent of worker scheduling.
 
 from __future__ import annotations
 
+import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from hashlib import blake2b
+from operator import attrgetter
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ...core.messages import Grow
 from ...geometry.regions import RegionId
@@ -72,12 +75,116 @@ class RemoteMessage:
         return (self.deliver_time, self.src_shard, self.seq)
 
 
-def canonical_send_line(record) -> str:
-    """One C-gcast send record as a canonical, order-independent string."""
-    return (
-        f"{record.time!r}|{record.src!r}|{record.dest!r}|"
-        f"{record.payload!r}|{record.cost!r}|{record.delay!r}"
-    )
+_MASK64 = (1 << 64) - 1
+_LABEL_LEN = struct.Struct("<H")
+_U64 = struct.Struct("<Q").unpack_from
+#: Payload class -> its record packer (see :func:`_packer_for`).
+_PACKERS: Dict[type, Callable[[Any, Dict[Any, bytes]], bytes]] = {}
+#: Field annotation -> struct code of the numeric payload fields.
+_NUMERIC = {"int": "q", "float": "d"}
+
+
+def _label(value: Any) -> bytes:
+    """``repr(value)`` as length-prefixed UTF-8: self-delimiting bytes."""
+    text = repr(value).encode()
+    return _LABEL_LEN.pack(len(text)) + text
+
+
+class _Labels(dict):
+    """Endpoint (ClusterId, region, ``("clients", region)``, ``None``)
+    -> its packed label, filled on first use."""
+
+    def __missing__(self, value: Any) -> bytes:
+        packed = self[value] = _label(value)
+        return packed
+
+
+def _packer_for(cls: type) -> Callable[[Any, Dict[Any, bytes]], bytes]:
+    """The record packer for payloads of dataclass ``cls``.
+
+    A record packs as: the payload's class name, one struct of the
+    record's ``time, cost, delay`` and the payload's ``int``/``float``
+    fields, then the source, destination and each other payload field
+    as endpoint labels.  Every C-gcast payload is a
+    :class:`~repro.core.messages.TrackerMessage` dataclass; any other
+    payload, or a field value its annotation does not allow, raises.
+    """
+    numeric = ["time", "cost", "delay"]
+    labelled = ["src", "dest"]
+    fmt = "<ddd"
+    for f in fields(cls):
+        kind = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "")
+        if kind in _NUMERIC:
+            numeric.append(f"payload.{f.name}")
+            fmt += _NUMERIC[kind]
+        else:
+            labelled.append(f"payload.{f.name}")
+    head = _label(cls.__qualname__)
+    pack_numbers = struct.Struct(fmt).pack
+    numbers = attrgetter(*numeric)
+    endpoints = attrgetter(*labelled)
+
+    def pack(record, labels):
+        parts = [head, pack_numbers(*numbers(record))]
+        for value in endpoints(record):
+            parts.append(labels[value])
+        return b"".join(parts)
+
+    return pack
+
+
+class SendDigest:
+    """Streaming fingerprint of a run's C-gcast sends, in O(1) memory.
+
+    Two values over the packed send records (:meth:`pack`):
+
+    * ``canonical`` — the sum mod 2^64 of each record's hash (BLAKE2b,
+      first 8 bytes): order-independent, so the values of K shards add
+      up to the value of the same sends on one shard
+      (:func:`~repro.sim.sharded.core.canonical_fingerprint`);
+    * ``exact`` — CRC32 streamed over the records in dispatch order:
+      the plain ≡ K=1 bit-identity check.
+
+    Only the two values are pickled.  The digest iterates as no lines:
+    ``ShardContext.send_lines`` used to be a list of retained lines, and
+    code that sums their lengths now sees 0.
+    """
+
+    __slots__ = ("canonical", "exact", "_labels")
+
+    def __init__(self, canonical: int = 0, exact: int = 0) -> None:
+        self.canonical = canonical
+        self.exact = exact
+        # Per digest, so it holds only one world's endpoints, which that
+        # world interns: lookups hit on identity.
+        self._labels = _Labels()
+
+    def pack(self, record) -> bytes:
+        """One C-gcast send record as self-delimiting bytes.
+
+        Equal records pack equal, and records that differ in any field
+        (time, source, destination, payload class or field, cost, delay)
+        pack differently.
+        """
+        cls = type(record.payload)
+        packer = _PACKERS.get(cls)
+        if packer is None:
+            packer = _PACKERS[cls] = _packer_for(cls)
+        return packer(record, self._labels)
+
+    def add(self, record) -> None:
+        """Fold one send record into both values."""
+        data = self.pack(record)
+        self.canonical = (
+            self.canonical + _U64(blake2b(data).digest())[0]
+        ) & _MASK64
+        self.exact = zlib.crc32(data, self.exact)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __reduce__(self):
+        return (SendDigest, (self.canonical, self.exact))
 
 
 class ShardContext:
@@ -115,8 +222,10 @@ class ShardContext:
         self._seq = 0
         self.windows = 0
         self.busy_s = 0.0
-        self.send_lines: List[str] = []
-        self._exact_crc = 0
+        # The send digest keeps the name of the line list it replaced
+        # because the benchmark (perfbench/) reads ``send_lines``;
+        # renaming it belongs with a change to the benchmark.
+        self.send_lines = SendDigest()
         # object_id -> cluster-originated Grow dispatches (handovers).
         # Each dispatch is observed in exactly one shard, so per-object
         # sums across shards are exact and K-invariant.
@@ -138,9 +247,7 @@ class ShardContext:
     # Routing hooks
     # ------------------------------------------------------------------
     def _observe_send(self, record) -> None:
-        line = canonical_send_line(record)
-        self.send_lines.append(line)
-        self._exact_crc = zlib.crc32(line.encode(), self._exact_crc)
+        self.send_lines.add(record)
         payload = record.payload
         if isinstance(payload, Grow) and isinstance(record.src, ClusterId):
             oid = getattr(payload, "object_id", 0)
@@ -257,8 +364,8 @@ class ShardContext:
             "find_work": accountant.find_work if accountant else 0.0,
             "other_work": accountant.other_work if accountant else 0.0,
             "moves_observed": getattr(self.system, "moves_observed", 0),
+            # The SendDigest, under the old name (see ``__init__``).
             "send_lines": self.send_lines,
-            "exact_crc": self._exact_crc,
             "finds": finds,
             "handovers": dict(self.handovers),
             "fault_stats": stats.as_dict() if stats is not None else None,

@@ -35,13 +35,12 @@ BENCH_core.json's ``sharded`` section.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ...obs import span as obs_span
-from .context import RemoteMessage, ShardContext
+from .context import RemoteMessage, SendDigest, ShardContext
 from .plan import ShardPlan, strip_plan
 from .workload import ScriptedWorkload
 
@@ -94,10 +93,21 @@ class ShardedRunResult:
     preconfig: Optional[Dict[str, int]] = None
 
 
-def canonical_fingerprint(send_lines: List[str]) -> str:
-    """CRC32 over the sorted canonical send lines, as 8 hex digits."""
-    crc = zlib.crc32("\n".join(sorted(send_lines)).encode())
-    return f"{crc:08x}"
+def canonical_fingerprint(digests: Union[SendDigest, Iterable[SendDigest]]) -> str:
+    """The order-independent send fingerprint, as 16 hex digits.
+
+    ``digests`` is one :class:`SendDigest` or the per-shard digests of
+    one run, which add up to the digest of the same sends on one shard.
+    """
+    if isinstance(digests, SendDigest):
+        digests = (digests,)
+    total = sum(digest.canonical for digest in digests) % (1 << 64)
+    return f"{total:016x}"
+
+
+def exact_fingerprint(digest: SendDigest) -> str:
+    """The dispatch-order send fingerprint of one shard, as 8 hex digits."""
+    return f"{digest.exact:08x}"
 
 
 class ShardedSimulator:
@@ -181,10 +191,8 @@ class ShardedSimulator:
     def _merge(
         self, reports: List[dict], windows: int, cross: int, wall: float
     ) -> ShardedRunResult:
-        lines: List[str] = []
         finds: Dict[int, dict] = {}
         for report in reports:
-            lines.extend(report["send_lines"])
             for find_id, info in report["finds"].items():
                 # Every shard carries a record (the `found` output fires
                 # at the evader's region, which any shard may own):
@@ -256,9 +264,12 @@ class ShardedSimulator:
             finds_issued=len(finds),
             finds_completed=sum(1 for f in finds.values() if f["completed"]),
             cross_shard_messages=cross,
-            canonical_fingerprint=canonical_fingerprint(lines),
+            canonical_fingerprint=canonical_fingerprint(
+                r["send_lines"] for r in reports
+            ),
             exact_fingerprint=(
-                f"{reports[0]['exact_crc']:08x}" if self.plan.k == 1 else None
+                exact_fingerprint(reports[0]["send_lines"])
+                if self.plan.k == 1 else None
             ),
             now=max(r["now"] for r in reports),
             wall_s=wall,

@@ -27,7 +27,12 @@ from ...faults.plan import (
     MessageLoss,
 )
 from .context import ShardContext
-from .core import ShardedSimulator, _tiling_for, canonical_fingerprint
+from .core import (
+    ShardedSimulator,
+    _tiling_for,
+    canonical_fingerprint,
+    exact_fingerprint,
+)
 from .plan import strip_plan
 from .workload import make_walk_workload
 
@@ -188,7 +193,7 @@ def run_reference_walk(
         ),
         cross_shard_messages=0,
         canonical_fingerprint=canonical_fingerprint(report["send_lines"]),
-        exact_fingerprint=f"{report['exact_crc']:08x}",
+        exact_fingerprint=exact_fingerprint(report["send_lines"]),
         move_work=report["move_work"],
         find_work=report["find_work"],
         now=report["now"],

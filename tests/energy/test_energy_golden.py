@@ -35,7 +35,7 @@ GOLDEN = {
     "total": 292.4,
     "dispatches": 168,
     "senses": 7,
-    "fingerprint": "7f3b7e1c",
+    "fingerprint": "d85e688f37c24cfc",
 }
 
 

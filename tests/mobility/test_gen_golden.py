@@ -37,8 +37,8 @@ GOLDEN_FINDS = 4
 GOLDEN_TRACE_CRCS = (0x6F6C839C, 0x1C3873CE, 0xC5E17780)
 
 #: Reference-engine dispatch fingerprints for the frozen script.
-GOLDEN_CANONICAL = "e9cde03b"
-GOLDEN_EXACT = "77203e46"
+GOLDEN_CANONICAL = "9985422ac3506fd1"
+GOLDEN_EXACT = "30671185"
 
 
 @pytest.fixture(scope="module")

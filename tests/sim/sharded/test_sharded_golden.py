@@ -21,12 +21,12 @@ from repro.sim.sharded import run_reference_walk, run_sharded_walk
 
 # The canonical walk scenario: r=2, MAX=3 (8x8), 8 moves, 4 finds.
 WALK = dict(r=2, max_level=3, n_moves=8, n_finds=4, seed=11)
-WALK_EXACT = "44f89717"
-WALK_CANONICAL = "1624cda5"
+WALK_EXACT = "3c9316de"
+WALK_CANONICAL = "e74c6d3cee976f80"
 
 # The fault-armed variant (loss + jitter, stable per-message draws).
 FAULTY = dict(WALK, loss_rate=0.1, jitter_rate=0.3)
-FAULTY_CANONICAL = "d00c4fed"
+FAULTY_CANONICAL = "c4f6bca085aaf53e"
 
 # A second shape: r=2, MAX=2 (4x4), different seed, more finds.
 SMALL = dict(r=2, max_level=2, n_moves=6, n_finds=6, seed=29)
