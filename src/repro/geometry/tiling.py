@@ -16,7 +16,7 @@ layers program against.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .points import Point
 from .regions import Region, RegionId
@@ -186,16 +186,20 @@ class GraphTiling(Tiling):
         adjacency: Dict[RegionId, Iterable[RegionId]],
         centers: Optional[Dict[RegionId, Point]] = None,
     ) -> None:
-        self._adj: Dict[RegionId, set] = {rid: set() for rid in adjacency}
+        adj: Dict[RegionId, set] = {rid: set() for rid in adjacency}
         for rid, nbrs in adjacency.items():
             for other in nbrs:
                 if other == rid:
                     raise ValueError(f"region {rid!r} listed as its own neighbor")
-                if other not in self._adj:
-                    self._adj[other] = set()
-                self._adj[rid].add(other)
-                self._adj[other].add(rid)
-        self._order = sorted(self._adj)
+                if other not in adj:
+                    adj[other] = set()
+                adj[rid].add(other)
+                adj[other].add(rid)
+        # Sorted once here: neighbors() hands out copies of these.
+        self._nbrs: Dict[RegionId, Tuple[RegionId, ...]] = {
+            rid: tuple(sorted(others)) for rid, others in adj.items()
+        }
+        self._order = sorted(self._nbrs)
         self._regions = {}
         for idx, rid in enumerate(self._order):
             point = centers[rid] if centers and rid in centers else Point(float(idx), 0.0)
@@ -214,7 +218,7 @@ class GraphTiling(Tiling):
 
     def neighbors(self, rid: RegionId) -> List[RegionId]:
         try:
-            return sorted(self._adj[rid])
+            return list(self._nbrs[rid])
         except KeyError:
             raise KeyError(f"unknown region {rid!r}") from None
 
@@ -226,7 +230,7 @@ class GraphTiling(Tiling):
         frontier = deque([source])
         while frontier:
             cur = frontier.popleft()
-            for nxt in self._adj[cur]:
+            for nxt in self._nbrs[cur]:
                 if nxt not in dist:
                     dist[nxt] = dist[cur] + 1
                     frontier.append(nxt)
@@ -234,7 +238,7 @@ class GraphTiling(Tiling):
         return dist
 
     def distance(self, a: RegionId, b: RegionId) -> int:
-        if a not in self._adj or b not in self._adj:
+        if a not in self._nbrs or b not in self._nbrs:
             raise KeyError(f"unknown region in distance({a!r}, {b!r})")
         dist = self._bfs(a)
         if b not in dist:

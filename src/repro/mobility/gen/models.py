@@ -21,8 +21,7 @@ evader's neighbor validation still holds.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...geometry.regions import RegionId
 from ...geometry.tiling import GraphTiling, Tiling
@@ -55,6 +54,33 @@ class GeneratedModel(MobilityModel):
         return 1.0
 
 
+def _region_graph(tiling: Tiling) -> Dict[RegionId, List[RegionId]]:
+    """Each region of ``tiling`` mapped to its neighbors, in tiling order."""
+    return {r: tiling.neighbors(r) for r in tiling.regions()}
+
+
+def _walkable_error(
+    graph: Dict[RegionId, List[RegionId]], blocked: Set[RegionId]
+) -> Optional[str]:
+    """Why masking ``blocked`` out of ``graph`` leaves no walkable
+    space — fewer than two regions, or a disconnected remainder — or
+    ``None`` when the remainder is walkable.  Ids in ``blocked`` that
+    are not in ``graph`` are ignored."""
+    allowed = [r for r in graph if r not in blocked]
+    if len(allowed) < 2:
+        return "obstacle field leaves fewer than two regions"
+    seen = {allowed[0]}
+    frontier = [allowed[0]]
+    while frontier:
+        for nxt in graph[frontier.pop()]:
+            if nxt not in seen and nxt not in blocked:
+                seen.add(nxt)
+                frontier.append(nxt)
+    if len(seen) != len(allowed):
+        return "obstacle field disconnects the tiling"
+    return None
+
+
 def masked_tiling(tiling: Tiling, obstacles: Sequence[RegionId]) -> GraphTiling:
     """The sub-tiling of ``tiling`` with ``obstacles`` removed.
 
@@ -63,36 +89,35 @@ def masked_tiling(tiling: Tiling, obstacles: Sequence[RegionId]) -> GraphTiling:
     a walkable space.
     """
     blocked = set(obstacles)
-    unknown = blocked - set(tiling.regions())
+    graph = _region_graph(tiling)
+    unknown = blocked - graph.keys()
     if unknown:
         raise ValueError(f"obstacle regions not in the tiling: {sorted(unknown)}")
-    allowed = [r for r in tiling.regions() if r not in blocked]
-    if len(allowed) < 2:
-        raise ValueError("obstacle field leaves fewer than two regions")
+    error = _walkable_error(graph, blocked)
+    if error is not None:
+        raise ValueError(error)
     adjacency = {
-        r: [n for n in tiling.neighbors(r) if n not in blocked] for r in allowed
+        r: [n for n in nbrs if n not in blocked]
+        for r, nbrs in graph.items()
+        if r not in blocked
     }
-    seen = {allowed[0]}
-    frontier = deque([allowed[0]])
-    while frontier:
-        cur = frontier.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != len(allowed):
-        raise ValueError("obstacle field disconnects the tiling")
-    centers = {r: tiling.region(r).center for r in allowed}
+    centers = {r: tiling.region(r).center for r in adjacency}
     return GraphTiling(adjacency, centers)
 
 
 def _greedy_step(
     tiling: Tiling, current: RegionId, target: RegionId
 ) -> RegionId:
-    """The neighbor of ``current`` closest to ``target`` (min-id ties)."""
+    """The neighbor of ``current`` closest to ``target`` (min-id ties).
+
+    Distances are taken from ``target``: the neighbor relation is
+    symmetric (§II-A), so the values are those to ``target``, and a
+    :class:`GraphTiling` runs one cached BFS per target rather than
+    one per neighbor.
+    """
     return min(
         tiling.neighbors(current),
-        key=lambda nb: (tiling.distance(nb, target), nb),
+        key=lambda nb: (tiling.distance(target, nb), nb),
     )
 
 

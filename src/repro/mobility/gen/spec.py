@@ -41,6 +41,8 @@ from .models import (
     TimeSliceModel,
     UniformWalkModel,
     WaypointGraphModel,
+    _region_graph,
+    _walkable_error,
     masked_tiling,
 )
 
@@ -160,18 +162,21 @@ class Obstacles(GeneratorSpec):
         space = self._space(hierarchy, tiling)
         blocked = list(self.regions)
         if self.density:
-            total = len(list(space.regions()))
-            budget = int(self.density * total)
-            candidates = [r for r in space.regions() if r not in set(blocked)]
+            graph = _region_graph(space)
+            budget = int(self.density * len(graph))
+            mask = set(blocked)
+            candidates = [r for r in graph if r not in mask]
             order = rng.sample(candidates, len(candidates))
             for region in order:
                 if len(blocked) >= budget + len(self.regions):
                     break
-                try:
-                    masked_tiling(space, blocked + [region])
-                except ValueError:
-                    continue
-                blocked.append(region)
+                # Grow the mask in place; keep the region only if the
+                # remainder stays walkable (masked_tiling's own check).
+                mask.add(region)
+                if _walkable_error(graph, mask) is None:
+                    blocked.append(region)
+                else:
+                    mask.discard(region)
         masked = masked_tiling(space, blocked)
         inner = self.inner.resolve(hierarchy, rng, tiling=masked)
         return MaskedModel(inner, masked, tuple(blocked))

@@ -131,6 +131,13 @@ class TestGraphTiling:
     def test_line_validates(self):
         line_tiling(4).validate()
 
+    def test_neighbors_is_a_fresh_sorted_list(self):
+        t = GraphTiling({3: [2, 1], 1: [2]})
+        nbrs = t.neighbors(3)
+        assert nbrs == [1, 2] and isinstance(nbrs, list)
+        nbrs.append(99)
+        assert t.neighbors(3) == [1, 2]
+
     def test_unknown_region_raises(self):
         t = line_tiling(3)
         with pytest.raises(KeyError):

@@ -41,6 +41,24 @@ GOLDEN_CANONICAL = "9985422ac3506fd1"
 GOLDEN_EXACT = "30671185"
 
 
+#: Per-object trace CRCs on the 81-region benchmark world
+#: (``shared_grid_hierarchy(3, 2)``, 25 moves), where obstacle fields
+#: are dense enough that the connectivity-preserving mask selection
+#: rejects candidates.  Recorded before the obstacle resolve stopped
+#: building one tiling per candidate; the rewrite must not move them.
+BENCH_GRID_MOVES = 25
+BENCH_GRID_TRACE_CRCS = {
+    ("gauntlet", 64): (0x1DFAB262, 0x5F25BCFD, 0xA63A4DA1),
+    ("gauntlet", 65): (0xD01DF8FC, 0x18F637E6, 0x6228C04D),
+    ("gauntlet", 66): (0x9922BACB, 0xD8CEEFF3, 0x7D133F80),
+    ("gauntlet", 67): (0x94A5E621, 0x057455B4, 0x785B4D72),
+    ("obstacle-walk", 64): (0x600B9531,),
+    ("obstacle-walk", 65): (0x21007D7E,),
+    ("obstacle-walk", 66): (0xD21F3B17,),
+    ("obstacle-walk", 67): (0xAD1A4D43,),
+}
+
+
 @pytest.fixture(scope="module")
 def gauntlet_traces():
     hierarchy = shared_grid_hierarchy(2, 2)
@@ -80,3 +98,10 @@ def test_gauntlet_sharded_engines_match_the_pin(shards):
     assert result.fingerprint_match is True
     assert result.sharded_fingerprint == GOLDEN_CANONICAL
     assert result.canonical_fingerprint == GOLDEN_CANONICAL
+
+
+@pytest.mark.parametrize("name, seed", sorted(BENCH_GRID_TRACE_CRCS))
+def test_benchmark_grid_trace_crcs_are_pinned(name, seed):
+    hierarchy = shared_grid_hierarchy(3, 2)
+    traces = generate(preset(name), hierarchy, BENCH_GRID_MOVES, seed=seed)
+    assert tuple(t.crc() for t in traces) == BENCH_GRID_TRACE_CRCS[(name, seed)]

@@ -5,7 +5,8 @@ Random combinator trees over random grid worlds must emit traces that
 (b) respect the §VI speed-restriction floors at every touched level in
 both ``concurrent`` and ``atomic`` modes, and (c) obey the RngRegistry
 determinism discipline — same seed byte-identical, forked registry
-divergent.
+divergent.  (d) pins the obstacle-mask connectivity check and the
+greedy step against the tiling-building reference they replaced.
 
 CI's smoke-mobility job runs this module under
 ``HYPOTHESIS_PROFILE=fast``.
@@ -17,7 +18,16 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from collections import deque  # noqa: E402
+
+from hypothesis import (  # noqa: E402
+    HealthCheck,
+    example,
+    given,
+    reject,
+    settings,
+    strategies as st,
+)
 
 from repro.mobility.gen import (  # noqa: E402
     Compose,
@@ -37,7 +47,14 @@ from repro.mobility.gen import (  # noqa: E402
     preset_names,
     touched_level,
 )
-from repro.mobility.gen.models import MaskedModel  # noqa: E402
+from repro.geometry.tiling import GraphTiling, line_tiling  # noqa: E402
+from repro.mobility.gen.models import (  # noqa: E402
+    MaskedModel,
+    _greedy_step,
+    _region_graph,
+    _walkable_error,
+    masked_tiling,
+)
 from repro.sim.rng import RngRegistry  # noqa: E402
 from repro.topo.cache import shared_grid_hierarchy  # noqa: E402
 
@@ -107,9 +124,33 @@ spec_trees = st.recursive(leaves, _wrap, max_leaves=4)
 
 def _traces(spec, world, seed, mode="concurrent", fork=None, n_moves=7):
     hierarchy = shared_grid_hierarchy(*world)
-    return hierarchy, generate(
-        spec, hierarchy, n_moves, seed=seed, mode=mode, fork=fork
-    )
+    try:
+        traces = generate(spec, hierarchy, n_moves, seed=seed, mode=mode, fork=fork)
+    except ValueError as exc:
+        if not _waypoints_exceed_masked_space(exc):
+            raise
+        reject()
+    return hierarchy, traces
+
+
+def _waypoints_exceed_masked_space(exc: ValueError) -> bool:
+    """Whether ``exc`` is ``WaypointGraph.resolve``'s documented
+    rejection of an obstacle-masked space with fewer than ``k`` regions.
+
+    A dense obstacle field on a tiny world can leave fewer regions than
+    a nested ``WaypointGraph(k=...)`` samples (``density=0.25`` on the
+    4-region ``(2, 1)`` world leaves 3); that spec cannot be resolved
+    there, by design.  The check reads the raising frame, so it holds
+    only when the space really was masked and really is too small.
+    """
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    if frame.f_code is not WaypointGraph.resolve.__code__:
+        return False
+    waypoints, masked = frame.f_locals["self"], frame.f_locals["tiling"]
+    return masked is not None and len(masked.regions()) < waypoints.k
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +194,12 @@ def test_obstacle_masked_traces_avoid_the_mask(inner, world, seed, density):
     world=worlds,
     seed=st.integers(0, 2**16),
     mode=st.sampled_from(["concurrent", "atomic"]),
+)
+@example(
+    spec=Obstacles(inner=WaypointGraph(k=4), density=0.25),
+    world=(2, 1),
+    seed=0,
+    mode="concurrent",
 )
 def test_dwells_satisfy_the_speed_restriction(spec, world, seed, mode):
     hierarchy, traces = _traces(spec, world, seed, mode=mode)
@@ -228,3 +275,85 @@ def test_convoy_followers_lag_the_leader(world, seed):
         assert follower.regions[0] == leader.regions[0]
         assert follower.regions[1:] == leader.regions[1 : len(follower.regions)]
         assert len(follower.regions) == max(1, len(leader.regions) - lag)
+
+
+# ----------------------------------------------------------------------
+# (d) Obstacle masking: the shared check matches the tiling-building
+#     reference, and target-rooted greedy steps match neighbor-rooted
+# ----------------------------------------------------------------------
+def _reference_masked_tiling(tiling, obstacles):
+    """Masking as done by building the sub-tiling first (the oracle)."""
+    blocked = set(obstacles)
+    allowed = [r for r in tiling.regions() if r not in blocked]
+    if len(allowed) < 2:
+        raise ValueError("obstacle field leaves fewer than two regions")
+    adjacency = {
+        r: [n for n in tiling.neighbors(r) if n not in blocked] for r in allowed
+    }
+    seen = {allowed[0]}
+    frontier = deque([allowed[0]])
+    while frontier:
+        for nxt in adjacency[frontier.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    if len(seen) != len(allowed):
+        raise ValueError("obstacle field disconnects the tiling")
+    return GraphTiling(adjacency, {r: tiling.region(r).center for r in allowed})
+
+
+@st.composite
+def masked_spaces(draw, max_share=1.0):
+    """A grid world or a line tiling, plus a random obstacle mask
+    covering at most ``max_share`` of its regions."""
+    if draw(st.booleans()):
+        tiling = shared_grid_hierarchy(*draw(worlds)).tiling
+    else:
+        tiling = line_tiling(draw(st.integers(min_value=1, max_value=12)))
+    regions = tiling.regions()
+    mask = draw(
+        st.lists(
+            st.sampled_from(regions),
+            unique=True,
+            max_size=int(max_share * len(regions)),
+        )
+    )
+    return tiling, mask
+
+
+@given(space=masked_spaces())
+def test_walkable_check_matches_the_reference(space):
+    tiling, mask = space
+    try:
+        expected = _reference_masked_tiling(tiling, mask)
+    except ValueError as exc:
+        assert _walkable_error(_region_graph(tiling), set(mask)) == str(exc)
+        with pytest.raises(ValueError) as raised:
+            masked_tiling(tiling, mask)
+        assert str(raised.value) == str(exc)
+        return
+    assert _walkable_error(_region_graph(tiling), set(mask)) is None
+    masked = masked_tiling(tiling, mask)
+    assert masked.regions() == expected.regions()
+    for r in masked.regions():
+        assert masked.neighbors(r) == expected.neighbors(r)
+        assert masked.region(r).center == expected.region(r).center
+
+
+@given(space=masked_spaces(max_share=0.25), data=st.data())
+def test_greedy_step_matches_the_neighbor_rooted_minimum(space, data):
+    tiling, mask = space
+    try:
+        masked = masked_tiling(tiling, mask)
+    except ValueError:
+        reject()
+    regions = masked.regions()
+    current = data.draw(st.sampled_from(regions))
+    target = data.draw(st.sampled_from(regions))
+    # A fresh tiling for the oracle, so no BFS cached by one side
+    # feeds the other.
+    oracle = masked_tiling(tiling, mask)
+    expected = min(
+        oracle.neighbors(current), key=lambda nb: (oracle.distance(nb, target), nb)
+    )
+    assert _greedy_step(masked, current, target) == expected
